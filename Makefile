@@ -1,15 +1,17 @@
 # Verification tiers.
 #
 #   tier1      — the commit gate: everything builds, all tests pass.
-#   tier2      — the merge gate: gofmt-clean, vet clean, the full
-#                suite under the race detector (the stress/oracle tests
-#                run 500 seeds concurrently, so this is where sync bugs
-#                die), the bench guardrail pinning the Fig4 16K/32K
-#                throughputs, daemon-scaling speedup, contention
-#                speedup, and open-loop saturation throughput to
-#                BENCH_6.json, mutex/block profiles harvested from the
-#                contention benchmark into artifacts/, and the 4-host
-#                fleet remediation demo end to end.
+#   tier2      — the merge gate: gofmt-clean, vet clean (the root module
+#                and perfbench, its own module that root builds never
+#                compile), the full suite under the race detector (the
+#                stress/oracle tests run 500 seeds concurrently, so this
+#                is where sync bugs die), the bench guardrail pinning
+#                the Fig4 16K/32K throughputs, daemon-scaling speedup,
+#                contention speedup, and open-loop saturation
+#                throughput to BENCH_6.json, mutex/block profiles
+#                harvested from the contention benchmark into
+#                artifacts/, and the 4-host fleet remediation demo end
+#                to end.
 #   fuzz-smoke — 30s coverage-guided runs of the radix-tree fuzzer and
 #                the syscall wire-frame round-trip fuzzer; CI budget, not
 #                a soak. Extend -fuzztime for real hunts.
@@ -52,6 +54,7 @@ tier2:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet .
 	$(GO) test -race ./...
 	GPUFS_BENCH_GUARDRAIL=1 $(GO) test -count=1 -run TestBenchGuardrail ./internal/bench
 	mkdir -p artifacts

@@ -192,10 +192,10 @@ func NewSystemWithMetrics(cfg Config, reg *metrics.Registry) (*System, error) {
 	bus.SetMetrics(reg)
 	server.SetMetrics(reg)
 
-	// One syscall service for the whole machine: the syscall table is
-	// stateless, but the gpipe table must be shared so kernels on
-	// different GPUs can meet at a named pipe.
-	syscalls := gsys.NewService(server)
+	// One syscall service for the whole machine: it holds the host
+	// descriptor table and the gpipe table, which must be shared so
+	// kernels on different GPUs can meet at a named pipe.
+	syscalls := gsys.NewService(server, cfg.ZeroCopyRead)
 	ordering, err := gsys.ParseOrdering(cfg.SyscallOrdering)
 	if err != nil {
 		return nil, err

@@ -96,7 +96,7 @@ func ablateReadAhead(scale float64, t *Table) error {
 		fmt.Sprintf("off: %s MB/s eff.", mbps(roff.Throughput)),
 		fmt.Sprintf("4 pages: %s MB/s eff.", mbps(ron.Throughput)),
 		fmt.Sprintf("%+.0f%%", 100*(float64(ron.Throughput)/float64(roff.Throughput)-1)))
-	t.AddNote("read-ahead helps streaming greads and taxes random ones — why it is off by default, like the prototype")
+	t.AddNote("the greedy ReadAheadPages window helps streaming greads and taxes random ones — why that window is off by default, like the prototype; the default read-ahead is the adaptive detector")
 	return nil
 }
 

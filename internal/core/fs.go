@@ -118,11 +118,12 @@ type Options struct {
 	EvictBatch int
 	// ZeroCopyRead makes cache-hit reads serve bytes by aliasing the
 	// pinned page frame (one device-memory pass — the gmmap mechanism)
-	// instead of a two-pass copy through a staging buffer, and makes the
-	// host daemon pread RPC completions directly into the pinned DMA
-	// region (skipping the staging pass on the host memory bus). The flag
-	// also propagates to the client's rpc server. Off restores the
-	// copying path bit-identically.
+	// instead of a two-pass copy through a staging buffer. Its host half,
+	// the daemon preading RPC completions directly into the pinned DMA
+	// region (skipping the staging pass on the host memory bus), is fixed
+	// when the syscall service is built: the shared Syscalls service
+	// carries the system-wide setting, and a private one follows this
+	// flag. Off restores the copying path bit-identically.
 	ZeroCopyRead bool
 	// FrameShards is the number of free-list shards in the frame
 	// allocator; lanes hash to shards and steal on empty. Values < 1
@@ -376,14 +377,9 @@ func New(gpuID int, opt Options, client *rpc.Client, mem *memsys.Arena) (*FS, er
 	if err != nil {
 		return nil, err
 	}
-	// The host half of the zero-copy read path lives in the daemon (the
-	// staging pass skipped in gsys/rpc read handlers); every GPU of a
-	// system is built with the same Options, so the per-FS store is
-	// idempotent.
-	client.Server().SetZeroCopyRead(opt.ZeroCopyRead)
 	svc := opt.Syscalls
 	if svc == nil {
-		svc = gsys.NewService(client.Server())
+		svc = gsys.NewService(client.Server(), opt.ZeroCopyRead)
 	}
 	fs := &FS{
 		gpuID:        gpuID,

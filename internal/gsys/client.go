@@ -30,8 +30,8 @@ import (
 //   - OrderRelaxed calls bypass the fence and ride the out-of-order
 //     completion queue: the block's clock is untouched, results are
 //     available through a Future, and the caller joins explicitly with
-//     Future.Wait or Client.Fence. Detached speculation (prefetch) is
-//     relaxed traffic that is intentionally never joined.
+//     Future.Wait. Detached speculation (prefetch) is relaxed traffic
+//     that is intentionally never joined.
 
 // rpcOp maps a syscall to the ring-transport op it rides, keeping the
 // daemon's per-op accounting identical for the subsumed file operations
@@ -75,8 +75,6 @@ type laneState struct {
 	// fence is the completion time of the lane's last strong call; the
 	// next strong call is ordered after it.
 	fence simtime.Time
-	// pending are the lane's un-joined relaxed futures.
-	pending []*Future
 }
 
 // clientRoot is the state shared by every Bind/Gran view of one GPU's
@@ -90,8 +88,6 @@ type clientRoot struct {
 	// latency holds per-op per-ordering-class issue-to-completion
 	// histograms; the array stays nil without a metrics registry.
 	latency [numSysno][numOrdering]*metrics.Histogram
-	strong  atomic.Int64
-	relaxed atomic.Int64
 }
 
 // Future is the join handle of a relaxed call. The handler has already
@@ -174,17 +170,6 @@ func (c *Client) Gran(g Granularity) *Client {
 	return &view
 }
 
-// RPC returns the underlying transport endpoint of this view.
-func (c *Client) RPC() *rpc.Client { return c.rpc }
-
-// Service returns the host syscall service.
-func (c *Client) Service() *Service { return c.svc }
-
-// StrongCalls and RelaxedCalls report how many calls each ordering class
-// has dispatched on this GPU.
-func (c *Client) StrongCalls() int64  { return c.root.strong.Load() }
-func (c *Client) RelaxedCalls() int64 { return c.root.relaxed.Load() }
-
 func (c *Client) laneState() *laneState {
 	c.root.mu.Lock()
 	st := c.root.lanes[c.lane]
@@ -239,7 +224,6 @@ func (c *Client) do(blk *simtime.Clock, sys Sysno, args []uint64, path string, d
 		st.fence = 0
 	}
 	c.root.mu.Unlock()
-	c.root.strong.Add(1)
 	sent := blk.Now()
 	err := c.rpc.Do(blk, rpcOp(sys), c.handlerFor(wire, cl))
 	c.root.mu.Lock()
@@ -252,47 +236,21 @@ func (c *Client) do(blk *simtime.Clock, sys Sysno, args []uint64, path string, d
 }
 
 // doRelaxed dispatches one relaxed non-blocking call past the fence: the
-// block's clock is untouched and the returned Future joins it. Detached
-// calls (speculation with no waiter) skip the lane's pending set.
-func (c *Client) doRelaxed(blk *simtime.Clock, sys Sysno, args []uint64, path string, data []byte, cl *call, detached bool) *Future {
+// block's clock is untouched and the returned Future joins it.
+func (c *Client) doRelaxed(blk *simtime.Clock, sys Sysno, args []uint64, path string, data []byte, cl *call) *Future {
 	cl.cli = c
 	d := Desc{Sysno: sys, Gran: c.gran, Order: OrderRelaxed, Block: CallNonBlocking}
 	wire := c.frame(d, args, path, data)
-	c.root.relaxed.Add(1)
 	sent := blk.Now()
 	done, err := c.rpc.DoAsync(blk, rpcOp(sys), c.handlerFor(wire, cl))
 	fut := &Future{call: cl, done: done, err: err}
 	if err == nil {
 		c.observe(sys, OrderRelaxed, sent, done)
 	}
-	if !detached {
-		st := c.laneState()
-		c.root.mu.Lock()
-		st.pending = append(st.pending, fut)
-		c.root.mu.Unlock()
-	}
 	return fut
 }
 
-// Fence joins every un-joined relaxed call on this view's lane: the
-// block's clock advances past all their completions. The first error is
-// returned (all futures are still drained).
-func (c *Client) Fence(blk *simtime.Clock) error {
-	st := c.laneState()
-	c.root.mu.Lock()
-	pending := st.pending
-	st.pending = nil
-	c.root.mu.Unlock()
-	var firstErr error
-	for _, f := range pending {
-		if err := f.Wait(blk); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// --- The file syscalls (subsuming the rpc protocol layer's typed ops) ---
+// --- The file syscalls ---
 
 // Open opens the host file, returning a daemon descriptor handle and the
 // file's metadata.
@@ -311,7 +269,7 @@ func (c *Client) Open(blk *simtime.Clock, path string, flags int, mode hostfs.Mo
 // transient fault the caller falls back to a strong Open.
 func (c *Client) OpenRelaxed(blk *simtime.Clock, path string, flags int, mode hostfs.Mode) *Future {
 	cl := &call{}
-	return c.doRelaxed(blk, SysOpen, []uint64{uint64(flags), uint64(mode)}, path, nil, cl, true)
+	return c.doRelaxed(blk, SysOpen, []uint64{uint64(flags), uint64(mode)}, path, nil, cl)
 }
 
 // Close closes a daemon descriptor handle.
@@ -329,19 +287,12 @@ func (c *Client) ReadPages(blk *simtime.Clock, fd, off int64, dst []byte) (int, 
 	return cl.reply.N, nil
 }
 
-// ReadPagesRelaxed is ReadPages as a joinable relaxed call: issued past
-// the fence, joined via the Future (or a lane Fence).
-func (c *Client) ReadPagesRelaxed(blk *simtime.Clock, fd, off int64, dst []byte) *Future {
-	cl := &call{dst: dst}
-	return c.doRelaxed(blk, SysRead, []uint64{uint64(fd), uint64(off)}, "", nil, cl, false)
-}
-
 // ReadPagesAsync is detached relaxed speculation (prefetch): the block
 // does not wait and nobody joins; the returned time says when the page
 // becomes usable. Never retried.
 func (c *Client) ReadPagesAsync(blk *simtime.Clock, fd, off int64, dst []byte) (int, simtime.Time, error) {
 	cl := &call{dst: dst}
-	fut := c.doRelaxed(blk, SysRead, []uint64{uint64(fd), uint64(off)}, "", nil, cl, true)
+	fut := c.doRelaxed(blk, SysRead, []uint64{uint64(fd), uint64(off)}, "", nil, cl)
 	if fut.err != nil {
 		return 0, 0, fut.err
 	}
@@ -353,7 +304,7 @@ func (c *Client) ReadPagesAsync(blk *simtime.Clock, fd, off int64, dst []byte) (
 // DMA whose completion every page shares.
 func (c *Client) ReadPagesVecAsync(blk *simtime.Clock, fd, off int64, dsts [][]byte) ([]int, simtime.Time, error) {
 	cl := &call{dsts: dsts}
-	fut := c.doRelaxed(blk, SysReadVec, []uint64{uint64(fd), uint64(off)}, "", nil, cl, true)
+	fut := c.doRelaxed(blk, SysReadVec, []uint64{uint64(fd), uint64(off)}, "", nil, cl)
 	if fut.err != nil {
 		return nil, 0, fut.err
 	}
@@ -402,30 +353,6 @@ func (c *Client) Validate(blk *simtime.Clock, ino, gen int64) bool {
 	err := c.do(blk, SysValidate, []uint64{uint64(ino), uint64(gen)}, "", nil, cl)
 	return err == nil && cl.reply.Valid
 }
-
-// The consistency-metadata operations below are not ring syscalls (they
-// ride write-shared memory or piggyback on other traffic, as in the rpc
-// layer) and delegate unchanged.
-
-// PeekValid checks a cached generation through write-shared memory — a
-// single PCIe read, no daemon involvement.
-func (c *Client) PeekValid(blk *simtime.Clock, ino, gen int64) bool {
-	return c.rpc.PeekValid(blk, ino, gen)
-}
-
-// RecordCached registers this GPU as caching ino at generation gen.
-func (c *Client) RecordCached(ino, gen int64) { c.rpc.RecordCached(ino, gen) }
-
-// Forget drops the consistency layer's record of this GPU caching ino.
-func (c *Client) Forget(ino int64) { c.rpc.Forget(ino) }
-
-// BeginWrite registers this GPU as a writer of ino.
-func (c *Client) BeginWrite(ino int64, multiWriter bool) error {
-	return c.rpc.BeginWrite(ino, multiWriter)
-}
-
-// EndWrite releases the writer registration.
-func (c *Client) EndWrite(ino int64) { c.rpc.EndWrite(ino) }
 
 // --- The new syscall surface ---
 

@@ -12,7 +12,7 @@
 // routed through a per-lane FIFO fence — each strong call on a lane is
 // ordered after the previous strong call's completion — while relaxed
 // calls ride the out-of-order completion queue unfenced and are joined
-// explicitly (Future.Wait or Client.Fence). The strong-ordered path is
+// explicitly (Future.Wait). The strong-ordered path is
 // bit-identical in virtual time to the pre-gsys protocol: the fence is
 // structurally idle for the collective block-granularity API (a blocking
 // call already occupies its lane until completion), so strong ordering
@@ -24,8 +24,8 @@ import "fmt"
 // Sysno identifies a system call in the generic syscall table.
 type Sysno uint8
 
-// System calls. The first ten subsume the file operations the rpc
-// protocol layer exposed; the rest are new surface (ISSUE 7).
+// System calls. The first ten are the host file operations; the rest are
+// directory and pipe surface (ISSUE 7).
 const (
 	SysOpen Sysno = iota
 	SysClose

@@ -2,6 +2,7 @@ package gsys
 
 import (
 	"fmt"
+	"sync"
 
 	"gpufs/internal/hostfs"
 	"gpufs/internal/pcie"
@@ -10,16 +11,14 @@ import (
 )
 
 // The host side of the syscall subsystem: a table of registered handlers
-// indexed by Sysno, replacing the protocol layer's hard-coded typed
-// operations. A handler runs on a daemon worker's clock with the decoded
-// request frame and the call's out-of-band device buffers, and returns
-// the completion time of any asynchronous DMA it started. The file-op
-// handler bodies mirror the rpc protocol layer's exactly — same staging
-// copies, same link charges, same host-fs calls on the same clocks — so
-// routing the existing file API through the table is timing-identical.
-// Both layers consult the server's ZeroCopyRead flag the same way, so the
-// zero-copy read path (pread into pinned frames, ChargePinned) stays
-// mirrored too.
+// indexed by Sysno. Each host file operation has exactly one
+// implementation, its handler here. A handler runs on a daemon worker's
+// clock with the decoded request frame and the call's out-of-band device
+// buffers, and returns the completion time of any asynchronous DMA it
+// started. The read handlers take one of two data paths, fixed when the
+// Service is built: through a per-request staging buffer (pcie.Charge),
+// or zero-copy, pread straight into the pinned device frames
+// (pcie.ChargePinned).
 
 // Reply carries a syscall's typed results back to the issuing client.
 // Result scalars ride the response slot; bulk data never does (it is
@@ -54,18 +53,29 @@ type call struct {
 type handlerFunc func(s *Service, c *call, cclk *simtime.Clock) (simtime.Time, error)
 
 // Service is the host-side syscall service shared by every GPU of a
-// system: the syscall table plus subsystem state that is not per-file
-// (the pipe table). It layers over the rpc daemon, which keeps the
-// descriptor table, worker pool, and consistency layer.
+// system: the syscall table, the host descriptor table, and the pipe
+// table. It layers over the rpc daemon, which keeps the worker pool and
+// the consistency layer.
 type Service struct {
 	srv   *rpc.Server
 	table [numSysno]handlerFunc
 	pipes pipeTable
+
+	// zeroCopy selects the zero-copy read path: read handlers pread file
+	// data straight into the pinned device destination and charge the
+	// DMA without the staging pass, instead of copying through a
+	// per-request staging buffer.
+	zeroCopy bool
+
+	mu     sync.Mutex
+	fds    map[int64]*hostfs.File
+	nextFd int64
 }
 
-// NewService builds the syscall table over the given rpc daemon.
-func NewService(srv *rpc.Server) *Service {
-	s := &Service{srv: srv}
+// NewService builds the syscall table over the given rpc daemon. zeroCopy
+// selects the zero-copy read path for every GPU the service serves.
+func NewService(srv *rpc.Server, zeroCopy bool) *Service {
+	s := &Service{srv: srv, zeroCopy: zeroCopy, fds: make(map[int64]*hostfs.File), nextFd: 3}
 	s.pipes.init()
 	s.table = [numSysno]handlerFunc{
 		SysOpen:      (*Service).sysOpen,
@@ -87,8 +97,62 @@ func NewService(srv *rpc.Server) *Service {
 	return s
 }
 
-// Server returns the rpc daemon under the syscall table.
-func (s *Service) Server() *rpc.Server { return s.srv }
+// allocFD registers an open host file in the descriptor table and
+// returns its handle.
+func (s *Service) allocFD(f *hostfs.File) int64 {
+	s.mu.Lock()
+	h := s.nextFd
+	s.nextFd++
+	s.fds[h] = f
+	s.mu.Unlock()
+	return h
+}
+
+// file resolves a descriptor handle to its host file.
+func (s *Service) file(fd int64) (*hostfs.File, error) {
+	s.mu.Lock()
+	f, ok := s.fds[fd]
+	s.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("gsys: unknown host fd %d", fd)
+	}
+	return f, nil
+}
+
+// releaseFD removes a descriptor handle from the table and returns its
+// host file. The caller closes the file.
+func (s *Service) releaseFD(fd int64) (*hostfs.File, error) {
+	s.mu.Lock()
+	f, ok := s.fds[fd]
+	delete(s.fds, fd)
+	s.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("gsys: unknown host fd %d", fd)
+	}
+	return f, nil
+}
+
+// readFull reads into buf at off, looping past injected short reads
+// (n == 0 is true EOF). With no injector the single pread below is already
+// full-or-EOF, so the loop never iterates and the happy-path timing is
+// untouched.
+func (s *Service) readFull(cclk *simtime.Clock, f *hostfs.File, buf []byte, off int64) (int, error) {
+	n, err := f.Pread(cclk, buf, off)
+	if err != nil || n == len(buf) || !s.srv.FaultInjector().Enabled() {
+		return n, err
+	}
+	for n < len(buf) {
+		m, err := f.Pread(cclk, buf[n:], off+int64(n))
+		if err != nil {
+			return n, err
+		}
+		if m == 0 {
+			break // true EOF
+		}
+		n += m
+	}
+	return n, nil
+}
 
 // dispatch routes a decoded frame to its table entry.
 func (s *Service) dispatch(c *call, cclk *simtime.Clock) (simtime.Time, error) {
@@ -109,28 +173,28 @@ func (s *Service) sysOpen(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 		f.Close()
 		return 0, err
 	}
-	c.reply.FD, c.reply.Info = s.srv.AllocFD(f), fi
+	c.reply.FD, c.reply.Info = s.allocFD(f), fi
 	return 0, nil
 }
 
 func (s *Service) sysClose(c *call, cclk *simtime.Clock) (simtime.Time, error) {
-	f := s.srv.ReleaseFD(int64(c.fr.Args[0]))
-	if f == nil {
-		return 0, fmt.Errorf("gsys: unknown host fd %d", int64(c.fr.Args[0]))
+	f, err := s.releaseFD(int64(c.fr.Args[0]))
+	if err != nil {
+		return 0, err
 	}
 	return 0, f.Close()
 }
 
 func (s *Service) sysRead(c *call, cclk *simtime.Clock) (simtime.Time, error) {
-	f, err := s.srv.FileByFD(int64(c.fr.Args[0]))
+	f, err := s.file(int64(c.fr.Args[0]))
 	if err != nil {
 		return 0, err
 	}
-	if s.srv.ZeroCopyRead() {
-		// Zero-copy (ISSUE 8): the daemon preads straight into the pinned
-		// page frame the GPU supplied, so the DMA charge skips the staging
-		// pass on the host memory bus.
-		n, err := c.cli.rpc.ReadFull(cclk, f, c.dst, int64(c.fr.Args[1]))
+	if s.zeroCopy {
+		// Zero-copy: the daemon preads straight into the pinned page frame
+		// the GPU supplied, so the DMA charge skips the staging pass on
+		// the host memory bus.
+		n, err := s.readFull(cclk, f, c.dst, int64(c.fr.Args[1]))
 		if err != nil {
 			return 0, err
 		}
@@ -138,7 +202,7 @@ func (s *Service) sysRead(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 		return c.cli.rpc.Link().ChargePinned(cclk.Now(), pcie.HostToDevice, int64(n)), nil
 	}
 	staging := make([]byte, len(c.dst)) // pinned staging buffer
-	n, err := c.cli.rpc.ReadFull(cclk, f, staging, int64(c.fr.Args[1]))
+	n, err := s.readFull(cclk, f, staging, int64(c.fr.Args[1]))
 	if err != nil {
 		return 0, err
 	}
@@ -148,7 +212,7 @@ func (s *Service) sysRead(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 }
 
 func (s *Service) sysReadVec(c *call, cclk *simtime.Clock) (simtime.Time, error) {
-	f, err := s.srv.FileByFD(int64(c.fr.Args[0]))
+	f, err := s.file(int64(c.fr.Args[0]))
 	if err != nil {
 		return 0, err
 	}
@@ -157,7 +221,7 @@ func (s *Service) sysReadVec(c *call, cclk *simtime.Clock) (simtime.Time, error)
 		total += len(d)
 	}
 	staging := make([]byte, total)
-	n, err := c.cli.rpc.ReadFull(cclk, f, staging, int64(c.fr.Args[1]))
+	n, err := s.readFull(cclk, f, staging, int64(c.fr.Args[1]))
 	if err != nil {
 		return 0, err
 	}
@@ -176,7 +240,7 @@ func (s *Service) sysReadVec(c *call, cclk *simtime.Clock) (simtime.Time, error)
 		got += take
 	}
 	c.reply.Ns = ns
-	if s.srv.ZeroCopyRead() {
+	if s.zeroCopy {
 		// Zero-copy: the host read is a preadv over an iovec of pinned
 		// frames (the staging slice above is only this simulation's
 		// scattering mechanism, not a modelled copy), so the vectored DMA
@@ -187,7 +251,7 @@ func (s *Service) sysReadVec(c *call, cclk *simtime.Clock) (simtime.Time, error)
 }
 
 func (s *Service) sysWrite(c *call, cclk *simtime.Clock) (simtime.Time, error) {
-	f, err := s.srv.FileByFD(int64(c.fr.Args[0]))
+	f, err := s.file(int64(c.fr.Args[0]))
 	if err != nil {
 		return 0, err
 	}
@@ -201,7 +265,7 @@ func (s *Service) sysWrite(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 }
 
 func (s *Service) sysTruncate(c *call, cclk *simtime.Clock) (simtime.Time, error) {
-	f, err := s.srv.FileByFD(int64(c.fr.Args[0]))
+	f, err := s.file(int64(c.fr.Args[0]))
 	if err != nil {
 		return 0, err
 	}
@@ -213,7 +277,7 @@ func (s *Service) sysUnlink(c *call, cclk *simtime.Clock) (simtime.Time, error) 
 }
 
 func (s *Service) sysStat(c *call, cclk *simtime.Clock) (simtime.Time, error) {
-	f, err := s.srv.FileByFD(int64(c.fr.Args[0]))
+	f, err := s.file(int64(c.fr.Args[0]))
 	if err != nil {
 		return 0, err
 	}
@@ -223,7 +287,7 @@ func (s *Service) sysStat(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 }
 
 func (s *Service) sysFsync(c *call, cclk *simtime.Clock) (simtime.Time, error) {
-	f, err := s.srv.FileByFD(int64(c.fr.Args[0]))
+	f, err := s.file(int64(c.fr.Args[0]))
 	if err != nil {
 		return 0, err
 	}

@@ -139,10 +139,7 @@ func TestOutOfOrderCompletions(t *testing.T) {
 	}
 
 	c0 := simtime.NewClock(0)
-	fd, _, err := cl.Open(c0, "/big", hostfs.O_RDONLY, hostfs.ModeRead)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := open(t, cl, c0, host, "/big", hostfs.O_RDONLY)
 
 	// Two lanes on distinct rings.
 	slowLane, fastLane := 0, 1
@@ -154,13 +151,14 @@ func TestOutOfOrderCompletions(t *testing.T) {
 	slow := cl.Bind(slowLane)
 	slowClk := simtime.NewClock(base)
 	dst := make([]byte, len(big))
-	if n, err := slow.ReadPages(slowClk, fd, 0, dst); err != nil || n != len(big) {
+	var n int
+	if err := slow.Do(slowClk, OpReadPages, readOp(slow, f, 0, dst, &n)); err != nil || n != len(big) {
 		t.Fatalf("read: n=%d err=%v", n, err)
 	}
 
 	fast := cl.Bind(fastLane)
 	fastClk := simtime.NewClock(base.Add(simtime.Microsecond))
-	if _, err := fast.Stat(fastClk, fd); err != nil {
+	if err := fast.Do(fastClk, OpStat, statOp(f)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -190,15 +188,12 @@ func TestWorkerPoolOverlap(t *testing.T) {
 			t.Fatal(err)
 		}
 		c0 := simtime.NewClock(0)
-		fd, _, err := cl.Open(c0, "/f", hostfs.O_RDONLY, hostfs.ModeRead)
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := open(t, cl, c0, host, "/f", hostfs.O_RDONLY)
 		base := c0.Now().Add(simtime.Millisecond)
 		var last simtime.Time
 		for lane := 0; lane < 8; lane++ {
 			clk := simtime.NewClock(base)
-			if _, err := cl.Bind(lane).Stat(clk, fd); err != nil {
+			if err := cl.Bind(lane).Do(clk, OpStat, statOp(f)); err != nil {
 				t.Fatal(err)
 			}
 			if clk.Now() > last {

