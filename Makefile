@@ -10,11 +10,14 @@
 #                contention speedup, and open-loop saturation
 #                throughput to BENCH_6.json, mutex/block profiles
 #                harvested from the contention benchmark into
-#                artifacts/, and the 4-host fleet remediation demo end
-#                to end.
-#   fuzz-smoke — 30s coverage-guided runs of the radix-tree fuzzer and
-#                the syscall wire-frame round-trip fuzzer; CI budget, not
-#                a soak. Extend -fuzztime for real hunts.
+#                artifacts/, one iteration of the host-cost benchmarks
+#                (the whole-word matcher and serve jobs over a resident
+#                file, with allocs/op), and the 4-host fleet remediation
+#                demo end to end.
+#   fuzz-smoke — 30s coverage-guided runs of the radix-tree fuzzer, the
+#                syscall wire-frame round-trip fuzzer, the checkpoint
+#                image fuzzer and the whole-word matcher fuzzer; CI
+#                budget, not a soak. Extend -fuzztime for real hunts.
 #   stress     — the fault-injection oracle at full depth (500 seeds),
 #                race-enabled, on its own for quick iteration.
 #   soak       — the serving-layer soak (internal/serve): 1,000+ jobs from
@@ -62,6 +65,8 @@ tier2:
 		-outputdir $(CURDIR)/artifacts \
 		-mutexprofile contention-mutex.pprof \
 		-blockprofile contention-block.pprof ./internal/bench
+	$(GO) test -run '^$$' -bench 'CountWord|ServeJobs' -benchtime 1x \
+		./internal/workloads ./internal/serve
 	$(GO) run ./cmd/gpufs-serve -hosts 4 >/dev/null
 	$(GO) run ./cmd/gpufs-serve -hosts 4 -migrate >/dev/null
 
@@ -69,6 +74,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRadixTree -fuzztime 30s ./internal/core/radix
 	$(GO) test -run '^$$' -fuzz FuzzSyscallFrame -fuzztime 30s ./internal/gsys
 	$(GO) test -run '^$$' -fuzz FuzzCkptImage -fuzztime 30s ./internal/ckpt
+	$(GO) test -run '^$$' -fuzz FuzzCountWord -fuzztime 30s ./internal/workloads
 
 stress:
 	$(GO) test -race -count=1 -run TestFaultStressOracle ./internal/core

@@ -1181,10 +1181,10 @@ func TestOracleConcurrentDisjoint(t *testing.T) {
 		model := make([]byte, region)
 		buf := make([]byte, region)
 		for step := 0; step < 40; step++ {
-			off := b.Rand.Intn(region - 1)
-			n := b.Rand.Intn(region-off) + 1
+			off := b.Rand().Intn(region - 1)
+			n := b.Rand().Intn(region-off) + 1
 			for i := 0; i < n; i++ {
-				model[off+i] = byte(b.Rand.Intn(256))
+				model[off+i] = byte(b.Rand().Intn(256))
 			}
 			if _, err := fs.Write(b, fd, model[off:off+n], base+int64(off)); err != nil {
 				return err

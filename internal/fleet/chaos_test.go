@@ -62,12 +62,35 @@ func getChaosCorpus() *chaosCorpus {
 			c.paths = append(c.paths, path)
 			c.texts = append(c.texts, text)
 			for _, w := range c.words {
-				c.grep[path+"\x00"+w] = int64(workloads.CountWord(text, w))
+				c.grep[path+"\x00"+w] = wholeWordCount(text, w)
 			}
 		}
 		chaosData = c
 	})
 	return chaosData
+}
+
+// wholeWordCount is the grep oracle, independent of the matcher under
+// test: it splits data into maximal [a-z] runs and counts those equal to
+// word.
+func wholeWordCount(data []byte, word string) int64 {
+	isLetter := func(b byte) bool { return b >= 'a' && b <= 'z' }
+	var n int64
+	for i := 0; i < len(data); {
+		if !isLetter(data[i]) {
+			i++
+			continue
+		}
+		j := i
+		for j < len(data) && isLetter(data[j]) {
+			j++
+		}
+		if string(data[i:j]) == word {
+			n++
+		}
+		i = j
+	}
+	return n
 }
 
 // chaosHosts wraps SimHostFactory, retaining each incarnation's system and

@@ -88,6 +88,10 @@ type slot struct {
 	mp       *simtime.Resource // the MP this slot executes on
 	at       simtime.Time      // virtual time the slot becomes free (freeMu)
 	assigned int64             // blocks dispatched to this slot (freeMu)
+	// scratch is the on-die scratchpad of the blocks this slot runs,
+	// allocated on first use and cleared before each block. Only the
+	// slot's worker touches it, and launches on a device serialize.
+	scratch []byte
 }
 
 // New creates a device.
@@ -253,17 +257,20 @@ func (d *Device) Launch(start simtime.Time, blocks, threads int, fn BlockFunc) (
 					return
 				}
 
+				if s.scratch == nil {
+					s.scratch = make([]byte, d.cfg.ScratchpadBytes)
+				} else {
+					clear(s.scratch)
+				}
 				b := &Block{
 					Idx:     idx,
 					Blocks:  blocks,
 					Threads: threads,
 					Clock:   simtime.NewClock(startAt),
-					Rand:    rand.New(rand.NewSource(seq<<20 ^ int64(idx)*0x9e3779b9)),
+					Scratch: s.scratch,
+					seq:     seq,
 					dev:     d,
 					mp:      s.mp,
-				}
-				if d.cfg.ScratchpadBytes > 0 {
-					b.Scratch = make([]byte, d.cfg.ScratchpadBytes)
 				}
 
 				err := runBlock(b, fn)
@@ -379,13 +386,29 @@ type Block struct {
 	Threads int
 	// Clock is the block's local virtual clock.
 	Clock *simtime.Clock
-	// Scratch is the block's on-die scratchpad memory.
+	// Scratch is the block's on-die scratchpad memory. It is zeroed before
+	// the block runs, but its storage belongs to the execution slot and is
+	// reused by the blocks of later launches: a kernel must not keep a
+	// reference to it after it returns.
 	Scratch []byte
-	// Rand is a per-block deterministic random source.
-	Rand *rand.Rand
+
+	seq int64      // the launch's sequence number on its device
+	rng *rand.Rand // Rand's source, seeded on first use
 
 	dev *Device
 	mp  *simtime.Resource
+}
+
+// Rand returns the block's deterministic random source. Its sequence is a
+// function of the launch's sequence number on the device and the block's
+// index alone, whatever slot or order the block runs in. It is seeded on
+// first use, so a block that never draws pays nothing, and like any
+// rand.Rand it is not safe for concurrent use.
+func (b *Block) Rand() *rand.Rand {
+	if b.rng == nil {
+		b.rng = rand.New(rand.NewSource(b.seq<<20 ^ int64(b.Idx)*0x9e3779b9))
+	}
+	return b.rng
 }
 
 // Device returns the device executing the block.

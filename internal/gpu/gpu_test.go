@@ -272,23 +272,63 @@ func TestSlotAvailabilityPersistsAcrossLaunches(t *testing.T) {
 }
 
 func TestBlockRandDeterministicPerLaunch(t *testing.T) {
-	collect := func() []int64 {
+	// Each block draws a few values in each of three launches; the
+	// sequence must be the documented function of (launch seq, block
+	// index), whatever slot or order the block ran in.
+	const launches, blocks, draws = 3, 8, 4
+	collect := func() [launches][blocks][draws]int64 {
 		d := New(Config{ID: 0, MPs: 2, BlocksPerMP: 2, MemBytes: 1 << 20})
-		out := make([]int64, 8)
+		var out [launches][blocks][draws]int64
 		var mu sync.Mutex
-		d.Launch(0, 8, 32, func(b *Block) error {
-			v := b.Rand.Int63()
-			mu.Lock()
-			out[b.Idx] = v
-			mu.Unlock()
-			return nil
-		})
+		for l := 0; l < launches; l++ {
+			d.Launch(0, blocks, 32, func(b *Block) error {
+				var v [draws]int64
+				for i := range v {
+					v[i] = b.Rand().Int63()
+				}
+				mu.Lock()
+				out[l][b.Idx] = v
+				mu.Unlock()
+				return nil
+			})
+		}
 		return out
 	}
 	a, b := collect(), collect()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("block RNG must be deterministic per (launch, block): %d", i)
+	if a != b {
+		t.Fatalf("block RNG must be deterministic per (launch, block)")
+	}
+	for seq := range a {
+		for idx := range a[seq] {
+			want := rand.New(rand.NewSource(int64(seq)<<20 ^ int64(idx)*0x9e3779b9))
+			for i, got := range a[seq][idx] {
+				if w := want.Int63(); got != w {
+					t.Fatalf("launch %d block %d draw %d: got %d, want %d", seq, idx, i, got, w)
+				}
+			}
+		}
+	}
+}
+
+func TestScratchZeroedAcrossLaunches(t *testing.T) {
+	// Slots reuse one scratchpad for the device's lifetime; every block
+	// must still start from an all-zero one, including blocks that land
+	// on a slot a previous block (of this or an earlier launch) dirtied.
+	d := testDevice()
+	for l := 0; l < 3; l++ {
+		_, err := d.Launch(0, 2*d.MaxResidentBlocks(), 32, func(b *Block) error {
+			for i, v := range b.Scratch {
+				if v != 0 {
+					return fmt.Errorf("block %d: scratch[%d] = %d, want 0", b.Idx, i, v)
+				}
+			}
+			for i := range b.Scratch {
+				b.Scratch[i] = 0xa5
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("launch %d: %v", l, err)
 		}
 	}
 }

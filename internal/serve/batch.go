@@ -194,7 +194,7 @@ func (s *Server) runBatch(g int, batch []*job) (retries []*job) {
 	s.mu.Unlock()
 	end, lerr := gpu.Launch(start, blocks, s.cfg.ThreadsPerBlock, func(c *gpufs.BlockCtx) error {
 		for ji := c.Idx; ji < len(run); ji += blocks {
-			s.execJob(c, run[ji])
+			s.execJob(c, run[ji], &s.bufs[g][c.Idx])
 		}
 		return nil
 	})

@@ -49,8 +49,8 @@ import (
 // JobKind selects the file-processing kernel a job runs.
 type JobKind uint8
 
-// Job kinds, all read-only over one host file (reusing the
-// internal/workloads matchers so results check against the same oracle).
+// Job kinds, all read-only over one host file. JobGrep uses the grep
+// workload's matcher, workloads.CountWord.
 const (
 	// JobGrep counts whole-word occurrences of Word ([a-z] tokens), the
 	// matching rule of the paper's grep application (§5.2.2).
@@ -352,6 +352,12 @@ type Server struct {
 	handoff bool
 	closed  bool
 
+	// bufs[g][b] is the file buffer of block b's jobs on GPU g, grown to
+	// the largest file it has read. Only GPU g's worker launches there,
+	// and a block runs its jobs one after another, so no two jobs share
+	// a buffer at once.
+	bufs [][][]byte
+
 	vnow atomic.Int64 // server virtual now: max observed batch end
 	ids  atomic.Uint64
 	wg   sync.WaitGroup
@@ -376,6 +382,10 @@ func New(sys *gpufs.System, cfg Config) *Server {
 	s.inflight = make([]int, n)
 	s.cursors = make([]simtime.Time, n)
 	s.gstats = make([]GPUStats, n)
+	s.bufs = make([][][]byte, n)
+	for g := range s.bufs {
+		s.bufs[g] = make([][]byte, s.cfg.MaxBlocks)
+	}
 	if reg := sys.Metrics(); reg != nil {
 		s.met = newServeMetrics(reg, n)
 	}
@@ -674,11 +684,12 @@ func (s *Server) idleLocked() bool {
 }
 
 // execJob runs one job's kernel inside a threadblock: read the file
-// through the GPUfs API (hitting this GPU's buffer cache when resident),
-// charge the scan, and compute the real answer. Errors are captured into
-// the job — never returned — so one faulted job cannot abort the whole
-// batch or latch the device.
-func (s *Server) execJob(c *gpufs.BlockCtx, j *job) {
+// through the GPUfs API (hitting this GPU's buffer cache when resident)
+// into the block's reused buffer *buf, charge the scan, and compute the
+// real answer over the bytes read. Errors are captured into the job —
+// never returned — so one faulted job cannot abort the whole batch or
+// latch the device.
+func (s *Server) execJob(c *gpufs.BlockCtx, j *job, buf *[]byte) {
 	j.err, j.count, j.output = nil, 0, nil
 
 	fd, err := c.Gopen(j.spec.Path, gpufs.O_RDONLY)
@@ -692,8 +703,11 @@ func (s *Server) execJob(c *gpufs.BlockCtx, j *job) {
 		j.err = err
 		return
 	}
-	buf := make([]byte, info.Size)
-	if _, err := c.Gread(fd, buf, 0); err != nil {
+	if int64(cap(*buf)) < info.Size {
+		*buf = make([]byte, info.Size)
+	}
+	n, err := c.Gread(fd, (*buf)[:info.Size], 0)
+	if err != nil {
 		c.Gclose(fd)
 		j.err = err
 		return
@@ -704,19 +718,20 @@ func (s *Server) execJob(c *gpufs.BlockCtx, j *job) {
 	}
 	c.ComputeBytes(info.Size, simtime.Rate(s.cfg.ScanRate))
 
+	data := (*buf)[:n]
 	switch j.spec.Kind {
 	case JobGrep:
-		j.count = int64(workloads.CountWord(buf, j.spec.Word))
+		j.count = int64(workloads.CountWord(data, j.spec.Word))
 	case JobSearch:
-		j.count = int64(bytes.Count(buf, []byte(j.spec.Word)))
+		j.count = int64(bytes.Count(data, []byte(j.spec.Word)))
 	case JobTransform:
 		limit := j.spec.MaxOutput
 		if limit <= 0 || limit > s.cfg.MaxOutputBytes {
 			limit = s.cfg.MaxOutputBytes
 		}
-		if limit > info.Size {
-			limit = info.Size
+		if limit > int64(n) {
+			limit = int64(n)
 		}
-		j.output = bytes.ToUpper(buf[:limit])
+		j.output = bytes.ToUpper(data[:limit])
 	}
 }

@@ -49,7 +49,7 @@ func oracle(t *testing.T, sys *gpufs.System, spec Job, maxOut int64) Result {
 	var want Result
 	switch spec.Kind {
 	case JobGrep:
-		want.Count = int64(workloads.CountWord(data, spec.Word))
+		want.Count = wholeWordCount(data, spec.Word)
 	case JobSearch:
 		want.Count = int64(bytes.Count(data, []byte(spec.Word)))
 	case JobTransform:
@@ -63,6 +63,29 @@ func oracle(t *testing.T, sys *gpufs.System, spec Job, maxOut int64) Result {
 		want.Output = bytes.ToUpper(data[:limit])
 	}
 	return want
+}
+
+// wholeWordCount is the grep oracle, independent of the matcher under
+// test: it splits data into maximal [a-z] runs and counts those equal to
+// word.
+func wholeWordCount(data []byte, word string) int64 {
+	isLetter := func(b byte) bool { return b >= 'a' && b <= 'z' }
+	var n int64
+	for i := 0; i < len(data); {
+		if !isLetter(data[i]) {
+			i++
+			continue
+		}
+		j := i
+		for j < len(data) && isLetter(data[j]) {
+			j++
+		}
+		if string(data[i:j]) == word {
+			n++
+		}
+		i = j
+	}
+	return n
 }
 
 func checkResult(t *testing.T, got Result, want Result) {

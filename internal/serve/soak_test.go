@@ -43,7 +43,7 @@ func makeSoakCorpus(t *testing.T, sys *gpufs.System, numFiles int) *soakCorpus {
 		}
 		c.paths = append(c.paths, path)
 		for _, w := range c.words {
-			c.grep[path+"\x00"+w] = int64(workloads.CountWord(text, w))
+			c.grep[path+"\x00"+w] = wholeWordCount(text, w)
 			c.srch[path+"\x00"+w] = int64(bytes.Count(text, []byte(w)))
 		}
 	}

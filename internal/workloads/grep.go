@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -65,17 +66,42 @@ func tokenize(data []byte, fn func(word []byte)) {
 	}
 }
 
+func isLower(c byte) bool { return c >= 'a' && c <= 'z' }
+
 // CountWord reports how many times word occurs in data as a whole token
-// (a maximal [a-z] run), the matching rule of the grep workload (§5.2.2).
-// The serving layer's grep jobs and their host-side oracle both use it, so
-// batching correctness is checked against the exact same matcher.
+// (a maximal [a-z] run), the matching rule of the grep workload (§5.2.2)
+// and of the serving layer's grep jobs. A token is never empty and holds
+// only [a-z], so an empty word, or one with any other byte, counts 0.
+//
+// It finds candidates with bytes.Index and keeps a hit only if the bytes
+// on either side of it are not [a-z] (or it touches an end of data); after
+// a hit the search resumes past the end of the token holding it, since no
+// whole-word match can start inside a token.
 func CountWord(data []byte, word string) int {
+	if word == "" {
+		return 0 // bytes.Index would match it everywhere without advancing
+	}
+	for i := 0; i < len(word); i++ {
+		if !isLower(word[i]) {
+			return 0
+		}
+	}
+	w := []byte(word)
 	n := 0
-	tokenize(data, func(w []byte) {
-		if string(w) == word {
+	for i := 0; i < len(data); {
+		k := bytes.Index(data[i:], w)
+		if k < 0 {
+			break
+		}
+		start, end := i+k, i+k+len(w)
+		if (start == 0 || !isLower(data[start-1])) && (end == len(data) || !isLower(data[end])) {
 			n++
 		}
-	})
+		i = end
+		for i < len(data) && isLower(data[i]) {
+			i++
+		}
+	}
 	return n
 }
 

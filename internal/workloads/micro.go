@@ -222,7 +222,7 @@ func RandReadGPUfs(sys *gpufs.System, gpuID int, path string, fileBytes int64, b
 		}
 		span := fileBytes - readBytes
 		for i := 0; i < readsPerBlock; i++ {
-			off := c.Rand.Int63n(span/readBytes) * readBytes
+			off := c.Rand().Int63n(span/readBytes) * readBytes
 			if _, err := c.Gread(fd, c.Scratch[:readBytes], off); err != nil {
 				return err
 			}
@@ -330,7 +330,7 @@ func CacheHitGPUfs(sys *gpufs.System, gpuID int, path string, fileBytes int64, b
 		}
 		nChunks := fileBytes / chunkBytes
 		for done := int64(0); done < perBlockBytes; done += chunkBytes {
-			off := c.Rand.Int63n(nChunks) * chunkBytes
+			off := c.Rand().Int63n(nChunks) * chunkBytes
 			if _, err := c.Gread(fd, c.Scratch[:chunkBytes], off); err != nil {
 				return err
 			}
@@ -359,7 +359,7 @@ func CacheHitRaw(sys *gpufs.System, gpuID int, fileBytes int64, blocks, threads 
 	end, err := g.Device().Launch(0, blocks, threads, func(b *gpu.Block) error {
 		nChunks := fileBytes / chunkBytes
 		for done := int64(0); done < perBlockBytes; done += chunkBytes {
-			off := b.Rand.Int63n(nChunks) * chunkBytes
+			off := b.Rand().Int63n(nChunks) * chunkBytes
 			b.CopyBytes(b.Scratch[:chunkBytes], dev.Data[off:off+chunkBytes])
 		}
 		return nil
