@@ -11,9 +11,10 @@
 #                throughput to BENCH_6.json, mutex/block profiles
 #                harvested from the contention benchmark into
 #                artifacts/, one iteration of the host-cost benchmarks
-#                (the whole-word matcher and serve jobs over a resident
-#                file, with allocs/op), and the 4-host fleet remediation
-#                demo end to end.
+#                (the whole-word matcher, serve jobs over a resident
+#                file and a vectored host read of one page, with
+#                allocs/op), and the 4-host fleet remediation demo end
+#                to end.
 #   fuzz-smoke — 30s coverage-guided runs of the radix-tree fuzzer, the
 #                syscall wire-frame round-trip fuzzer, the checkpoint
 #                image fuzzer and the whole-word matcher fuzzer; CI
@@ -65,8 +66,8 @@ tier2:
 		-outputdir $(CURDIR)/artifacts \
 		-mutexprofile contention-mutex.pprof \
 		-blockprofile contention-block.pprof ./internal/bench
-	$(GO) test -run '^$$' -bench 'CountWord|ServeJobs' -benchtime 1x \
-		./internal/workloads ./internal/serve
+	$(GO) test -run '^$$' -bench 'CountWord|ServeJobs|ReadPagesVec' -benchtime 1x \
+		./internal/workloads ./internal/serve ./internal/gsys
 	$(GO) run ./cmd/gpufs-serve -hosts 4 >/dev/null
 	$(GO) run ./cmd/gpufs-serve -hosts 4 -migrate >/dev/null
 

@@ -744,18 +744,25 @@ func (fs *FS) hostOpen(b *gpu.Block, f *file) error {
 			if old := fc.keepFd.Swap(0); old != 0 {
 				fs.lane(b).Close(b.Clock, old)
 			}
-			f.fc = fc
-			f.hostFd = hfd
+			fs.publish(f, fc, hfd)
 			return nil
 		}
 		// Stale: discard the cached pages (lazy invalidation, §4.4).
 		fs.discardCache(b, fc)
 	}
 
-	f.fc = fs.newFileCache(f.path, info.Ino, info.Generation, info.Size)
-	f.hostFd = hfd
+	fs.publish(f, fs.newFileCache(f.path, info.Ino, info.Generation, info.Size), hfd)
 	fs.client.RecordCached(info.Ino, info.Generation)
 	return nil
+}
+
+// publish sets a pending entry's cache and host descriptor under the
+// table lock: the entry already sits in fs.fds, where a paging pass
+// (pickVictims) reads both fields.
+func (fs *FS) publish(f *file, fc *fileCache, hostFd int64) {
+	fs.mu.Lock()
+	f.fc, f.hostFd = fc, hostFd
+	fs.mu.Unlock()
 }
 
 // Close implements gclose: it decrements the file's reference count and, at

@@ -15,10 +15,14 @@ import (
 // implementation, its handler here. A handler runs on a daemon worker's
 // clock with the decoded request frame and the call's out-of-band device
 // buffers, and returns the completion time of any asynchronous DMA it
-// started. The read handlers take one of two data paths, fixed when the
-// Service is built: through a per-request staging buffer (pcie.Charge),
-// or zero-copy, pread straight into the pinned device frames
-// (pcie.ChargePinned).
+// started. Data handlers move file bytes straight between the host file
+// and the device buffers (a preadv into the destination frames, a pwrite
+// from the source) with no per-request Go buffer. The read handlers model
+// one of two DMA paths, fixed when the Service is built: through a pinned
+// staging buffer (pcie.Charge, whose extra host-memory pass is a modelled
+// charge only), or zero-copy (pcie.ChargePinned). A Go staging buffer
+// exists only on the fault-injected short-read reassembly path, where it
+// keeps a read all-or-nothing.
 
 // Reply carries a syscall's typed results back to the issuing client.
 // Result scalars ride the response slot; bulk data never does (it is
@@ -61,10 +65,10 @@ type Service struct {
 	table [numSysno]handlerFunc
 	pipes pipeTable
 
-	// zeroCopy selects the zero-copy read path: read handlers pread file
-	// data straight into the pinned device destination and charge the
-	// DMA without the staging pass, instead of copying through a
-	// per-request staging buffer.
+	// zeroCopy selects the charge of the read handlers: the DMA without
+	// the staging pass (pcie.Charge*Pinned) instead of with it
+	// (pcie.Charge*). It selects only the charge; the bytes move the same
+	// way on both paths.
 	zeroCopy bool
 
 	mu     sync.Mutex
@@ -132,24 +136,36 @@ func (s *Service) releaseFD(fd int64) (*hostfs.File, error) {
 	return f, nil
 }
 
-// readFull reads into buf at off, looping past injected short reads
-// (n == 0 is true EOF). With no injector the single pread below is already
-// full-or-EOF, so the loop never iterates and the happy-path timing is
-// untouched.
-func (s *Service) readFull(cclk *simtime.Clock, f *hostfs.File, buf []byte, off int64) (int, error) {
-	n, err := f.Pread(cclk, buf, off)
-	if err != nil || n == len(buf) || !s.srv.FaultInjector().Enabled() {
-		return n, err
+// readFull reads the extent of dsts at off straight into them, as one
+// host read. With no fault injector a single preadv is already
+// full-or-EOF and all-or-nothing, so it is the whole read. With one, the
+// reassembly loop below completes injected short reads (n == 0 is true
+// EOF); a continuation pread may fail after earlier preads copied, so
+// that loop alone reads into a staging buffer and scatters it into dsts
+// only on success: a failed read leaves every destination untouched.
+func (s *Service) readFull(cclk *simtime.Clock, f *hostfs.File, dsts [][]byte, off int64) (int, error) {
+	if !s.srv.FaultInjector().Enabled() {
+		return f.Preadv(cclk, dsts, off)
 	}
-	for n < len(buf) {
-		m, err := f.Pread(cclk, buf[n:], off+int64(n))
-		if err != nil {
-			return n, err
-		}
-		if m == 0 {
-			break // true EOF
+	total := 0
+	for _, d := range dsts {
+		total += len(d)
+	}
+	staging := make([]byte, total)
+	n, err := f.Pread(cclk, staging, off)
+	for err == nil && n < total {
+		var m int
+		if m, err = f.Pread(cclk, staging[n:], off+int64(n)); m == 0 {
+			break // true EOF, or the error
 		}
 		n += m
+	}
+	if err != nil {
+		return 0, err
+	}
+	rest := staging[:n]
+	for _, d := range dsts {
+		rest = rest[copy(d, rest):]
 	}
 	return n, nil
 }
@@ -190,76 +206,58 @@ func (s *Service) sysRead(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	if s.zeroCopy {
-		// Zero-copy: the daemon preads straight into the pinned page frame
-		// the GPU supplied, so the DMA charge skips the staging pass on
-		// the host memory bus.
-		n, err := s.readFull(cclk, f, c.dst, int64(c.fr.Args[1]))
-		if err != nil {
-			return 0, err
-		}
-		c.reply.N = n
-		return c.cli.rpc.Link().ChargePinned(cclk.Now(), pcie.HostToDevice, int64(n)), nil
-	}
-	staging := make([]byte, len(c.dst)) // pinned staging buffer
-	n, err := s.readFull(cclk, f, staging, int64(c.fr.Args[1]))
+	n, err := s.readFull(cclk, f, [][]byte{c.dst}, int64(c.fr.Args[1]))
 	if err != nil {
 		return 0, err
 	}
-	copy(c.dst[:n], staging[:n])
 	c.reply.N = n
+	if s.zeroCopy {
+		// Zero-copy: the modelled pread lands in the pinned page frame
+		// the GPU supplied, so the DMA charge skips the staging pass on
+		// the host memory bus.
+		return c.cli.rpc.Link().ChargePinned(cclk.Now(), pcie.HostToDevice, int64(n)), nil
+	}
 	return c.cli.rpc.Link().Charge(cclk.Now(), pcie.HostToDevice, int64(n)), nil
 }
 
+// sysReadVec is one host preadv over the iovec of destination frames and
+// one scattered DMA. Both read paths move the bytes the same way,
+// straight into the frames; the staging path's pass through a pinned
+// host buffer is a modelled charge only (ChargeScatter), which zero-copy
+// skips (ChargeScatterPinned).
 func (s *Service) sysReadVec(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 	f, err := s.file(int64(c.fr.Args[0]))
 	if err != nil {
 		return 0, err
 	}
-	total := 0
-	for _, d := range c.dsts {
-		total += len(d)
-	}
-	staging := make([]byte, total)
-	n, err := s.readFull(cclk, f, staging, int64(c.fr.Args[1]))
+	n, err := s.readFull(cclk, f, c.dsts, int64(c.fr.Args[1]))
 	if err != nil {
 		return 0, err
 	}
 	ns := make([]int, len(c.dsts))
-	got := 0
+	rest := n
 	for i, d := range c.dsts {
-		take := n - got
-		if take > len(d) {
-			take = len(d)
-		}
-		if take < 0 {
-			take = 0
-		}
-		copy(d[:take], staging[got:got+take])
-		ns[i] = take
-		got += take
+		ns[i] = min(rest, len(d))
+		rest -= ns[i]
 	}
 	c.reply.Ns = ns
 	if s.zeroCopy {
-		// Zero-copy: the host read is a preadv over an iovec of pinned
-		// frames (the staging slice above is only this simulation's
-		// scattering mechanism, not a modelled copy), so the vectored DMA
-		// skips the staging pass.
 		return c.cli.rpc.Link().ChargeScatterPinned(cclk.Now(), pcie.HostToDevice, int64(n), len(c.dsts)), nil
 	}
 	return c.cli.rpc.Link().ChargeScatter(cclk.Now(), pcie.HostToDevice, int64(n), len(c.dsts)), nil
 }
 
+// sysWrite pwrites the device source directly: callers hand it a private
+// copy (write-back ships a frame snapshot), and Pwrite decides an injected
+// EIO before it touches the file.
 func (s *Service) sysWrite(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 	f, err := s.file(int64(c.fr.Args[0]))
 	if err != nil {
 		return 0, err
 	}
-	staging := make([]byte, len(c.src))
-	copy(staging, c.src)
 	done := c.cli.rpc.Link().Charge(cclk.Now(), pcie.DeviceToHost, int64(len(c.src)))
 	cclk.AdvanceTo(done)
-	n, err := f.Pwrite(cclk, staging, int64(c.fr.Args[1]))
+	n, err := f.Pwrite(cclk, c.src, int64(c.fr.Args[1]))
 	c.reply.N = n
 	return 0, err
 }

@@ -3,6 +3,7 @@ package gsys
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"gpufs/internal/faults"
@@ -29,7 +30,7 @@ type harness struct {
 	host *hostfs.FS
 }
 
-func newHarness(t *testing.T, zeroCopy bool) *harness {
+func newHarness(t testing.TB, zeroCopy bool) *harness {
 	t.Helper()
 	host := hostfs.New(hostfs.Options{
 		DiskBandwidth:   132 * simtime.MBps,
@@ -414,7 +415,7 @@ func TestReadPagesAsync(t *testing.T) {
 
 // vecFile stages /vec with size bytes of a deterministic pattern and
 // returns its content and an open descriptor.
-func vecFile(t *testing.T, h *harness, size int) (int64, []byte) {
+func vecFile(t testing.TB, h *harness, size int) (int64, []byte) {
 	t.Helper()
 	data := make([]byte, size)
 	for i := range data {
@@ -580,4 +581,154 @@ func TestReadPagesVecMidVectorEIO(t *testing.T) {
 				sawClean, sawFirst, sawMid)
 		}
 	})
+}
+
+// TestReadHandlersHostAllocs pins the Go allocation of the read handlers:
+// file bytes move straight from the host file into the destination
+// frames, so a 256 KiB page read allocates only the call's bookkeeping,
+// not a page-sized staging buffer.
+func TestReadHandlersHostAllocs(t *testing.T) {
+	const (
+		page  = 256 << 10
+		pages = 4
+		calls = 256
+		limit = 16 << 10 // bytes allocated per call
+	)
+	bothReadPaths(t, func(t *testing.T, zeroCopy bool) {
+		h := newHarness(t, zeroCopy)
+		fd, data := vecFile(t, h, pages*page)
+		dst := make([]byte, page)
+		dsts := [][]byte{dst}
+		c := simtime.NewClock(0)
+		perCall := func(read func(off int64)) uint64 {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for i := 0; i < calls; i++ {
+				read(int64(i%pages) * page)
+			}
+			runtime.ReadMemStats(&after)
+			return (after.TotalAlloc - before.TotalAlloc) / calls
+		}
+		check := func(name string, off int64) {
+			if !bytes.Equal(dst, data[off:off+page]) {
+				t.Fatalf("%s at %d: bytes differ from the file", name, off)
+			}
+		}
+		got := perCall(func(off int64) {
+			if n, err := h.cl.ReadPages(c, fd, off, dst); err != nil || n != page {
+				t.Fatalf("ReadPages at %d: n=%d err=%v", off, n, err)
+			}
+			check("ReadPages", off)
+		})
+		if got >= limit {
+			t.Errorf("ReadPages allocates %d B per 256 KiB page, want < %d", got, limit)
+		}
+		got = perCall(func(off int64) {
+			ns, done, err := h.cl.ReadPagesVecAsync(c, fd, off, dsts)
+			if err != nil || ns[0] != page {
+				t.Fatalf("ReadPagesVecAsync at %d: ns=%v err=%v", off, ns, err)
+			}
+			c.AdvanceTo(done)
+			check("ReadPagesVecAsync", off)
+		})
+		if got >= limit {
+			t.Errorf("ReadPagesVecAsync allocates %d B per 256 KiB page, want < %d", got, limit)
+		}
+	})
+}
+
+// TestStagedReadMatchesDirectTiming: an injector that is enabled but
+// fires nothing sends reads down readFull's staged reassembly path, and
+// no injector sends them down the direct preadv. The two paths must be
+// indistinguishable in virtual time and bytes, for the strong read, the
+// relaxed read, the vectored read and the write. Every extent lies inside
+// the file: at EOF the reassembly loop pays a modelled probe pread that
+// the direct path does not.
+func TestStagedReadMatchesDirectTiming(t *testing.T) {
+	const page = 4096
+	type result struct {
+		now       simtime.Time
+		dones     []simtime.Time
+		memBus    simtime.Duration
+		read, vec []byte
+		file      []byte
+	}
+	run := func(t *testing.T, zeroCopy, staged bool) result {
+		h := newHarness(t, zeroCopy)
+		fd, _ := vecFile(t, h, 8*page)
+		if staged {
+			h.faulty(faults.Config{Seed: 11})
+		}
+		var r result
+		c := simtime.NewClock(0)
+		fdw, _, err := h.cl.Open(c, "/vec", hostfs.O_RDWR, rwMode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.read = make([]byte, 3*page)
+		if n, err := h.cl.ReadPages(c, fd, 100, r.read); err != nil || n != len(r.read) {
+			t.Fatalf("ReadPages: n=%d err=%v", n, err)
+		}
+		n, done, err := h.cl.ReadPagesAsync(c, fd, 5*page, make([]byte, page))
+		if err != nil || n != page {
+			t.Fatalf("ReadPagesAsync: n=%d err=%v", n, err)
+		}
+		r.dones = append(r.dones, done)
+		dsts := [][]byte{make([]byte, page), make([]byte, page/2), make([]byte, 2*page)}
+		ns, done, err := h.cl.ReadPagesVecAsync(c, fd, page+7, dsts)
+		if err != nil || ns[0]+ns[1]+ns[2] != 3*page+page/2 {
+			t.Fatalf("ReadPagesVecAsync: ns=%v err=%v", ns, err)
+		}
+		r.dones = append(r.dones, done)
+		r.vec = bytes.Join(dsts, nil)
+		if n, err := h.cl.WritePages(c, fdw, 2*page+5, bytes.Repeat([]byte{0x42}, 1000)); err != nil || n != 1000 {
+			t.Fatalf("WritePages: n=%d err=%v", n, err)
+		}
+		r.now, r.memBus = c.Now(), h.host.MemBus().Busy()
+		h.host.SetFaultInjector(nil)
+		if r.file, err = h.host.ReadFile(simtime.NewClock(0), "/vec"); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	bothReadPaths(t, func(t *testing.T, zeroCopy bool) {
+		direct, staged := run(t, zeroCopy, false), run(t, zeroCopy, true)
+		if direct.now != staged.now {
+			t.Errorf("block clock: direct %v, staged %v", direct.now, staged.now)
+		}
+		for i := range direct.dones {
+			if direct.dones[i] != staged.dones[i] {
+				t.Errorf("relaxed read %d completes at %v direct, %v staged", i, direct.dones[i], staged.dones[i])
+			}
+		}
+		if direct.memBus != staged.memBus {
+			t.Errorf("memory bus busy: direct %v, staged %v", direct.memBus, staged.memBus)
+		}
+		if !bytes.Equal(direct.read, staged.read) || !bytes.Equal(direct.vec, staged.vec) ||
+			!bytes.Equal(direct.file, staged.file) {
+			t.Errorf("the paths moved different bytes")
+		}
+	})
+}
+
+// BenchmarkReadPagesVec is the host cost of one vectored read of a
+// 256 KiB page from a resident host file: the read-ahead RPC of a
+// streaming read.
+func BenchmarkReadPagesVec(b *testing.B) {
+	const page = 256 << 10
+	h := newHarness(b, true)
+	fd, _ := vecFile(b, h, page)
+	dsts := [][]byte{make([]byte, page)}
+	c := simtime.NewClock(0)
+	b.ReportAllocs()
+	b.SetBytes(page)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ns, done, err := h.cl.ReadPagesVecAsync(c, fd, 0, dsts)
+		if err != nil || ns[0] != page {
+			b.Fatalf("ns=%v err=%v", ns, err)
+		}
+		c.AdvanceTo(done)
+	}
 }

@@ -533,8 +533,19 @@ func (f *File) check(write bool) error {
 }
 
 // Pread reads len(p) bytes at offset off, charging page-cache or disk time
-// as appropriate, and returns the byte count (short at EOF).
+// as appropriate, and returns the byte count (short at EOF). It is the
+// one-buffer case of Preadv.
 func (f *File) Pread(c *simtime.Clock, p []byte, off int64) (int, error) {
+	return f.Preadv(c, [][]byte{p}, off)
+}
+
+// Preadv reads into the buffers of iov in order, filling each before the
+// next, as one pread of their total length at offset off: one syscall,
+// one page-cache charge over the range and one memory-bus copy. Every
+// injected fault is decided before any byte moves, so a failed call
+// leaves every buffer untouched and a successful one writes exactly the
+// returned count (short at EOF or on an injected short read).
+func (f *File) Preadv(c *simtime.Clock, iov [][]byte, off int64) (int, error) {
 	if err := f.check(false); err != nil {
 		return 0, err
 	}
@@ -543,22 +554,28 @@ func (f *File) Pread(c *simtime.Clock, p []byte, off int64) (int, error) {
 	}
 	f.fs.chargeSyscall(c)
 
+	want := 0
+	for _, p := range iov {
+		want += len(p)
+	}
 	n := f.node
 	n.mu.Lock()
-	if off >= n.size() {
+	size := n.size()
+	if off >= size {
 		n.mu.Unlock()
 		return 0, nil
 	}
-	cnt := copy(p, n.data[off:])
-	size := n.size()
-	n.mu.Unlock()
-
+	cnt := int(min(int64(want), size-off))
+	// The faults are decided under the inode lock so the count they see
+	// is the count copied, even against a concurrent truncate.
 	if inj := f.fs.inj.Load(); inj.Enabled() {
 		if inj.Should(faults.HostReadEIO, c.Now()) {
+			n.mu.Unlock()
 			return 0, fmt.Errorf("%w: read %q at %d", ErrIO, f.name, off)
 		}
 		for so := off - off%sectorSize; so < off+int64(cnt); so += sectorSize {
 			if inj.BadSector(n.ino, so, c.Now()) {
+				n.mu.Unlock()
 				return 0, fmt.Errorf("%w: %q sector at %d unreadable", ErrIO, f.name, so)
 			}
 		}
@@ -567,6 +584,14 @@ func (f *File) Pread(c *simtime.Clock, p []byte, off int64) (int, error) {
 			cnt = 1 + int(inj.Fraction(faults.HostShortRead)*float64(cnt-1))
 		}
 	}
+	src := n.data[off : off+int64(cnt)]
+	for _, p := range iov {
+		if len(src) == 0 {
+			break
+		}
+		src = src[copy(p, src):]
+	}
+	n.mu.Unlock()
 
 	// Timing: bring missing units in from disk, then copy over the memory
 	// bus.
